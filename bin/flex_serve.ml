@@ -33,7 +33,7 @@ let load_csv_dir dir =
   Database.of_tables tables
 
 let serve dir metrics_file demo port ledger_file audit_file audit_max_bytes sync epsilon
-    delta analyst_epsilon analyst_delta cap seed domains explain_estimates stats_port
+    delta analyst_epsilon analyst_delta cap seed explain_estimates stats_port
     no_telemetry release_cache releases_file release_capacity workers max_connections
     max_pending idle_timeout rate_limit thread_per_conn statement_capacity flight_capacity
     =
@@ -86,14 +86,8 @@ let serve dir metrics_file demo port ledger_file audit_file audit_max_bytes sync
       flight_capacity;
     }
   in
-  let domains =
-    match domains with
-    | Some n -> n
-    | None -> min 4 (Stdlib.Domain.recommended_domain_count ())
-  in
-  let pool = if domains > 1 then Some (Flex_engine.Task_pool.create ~domains) else None in
   let server =
-    Server.create ~audit ~config ?pool ?release_store ~db ~metrics ~ledger
+    Server.create ~audit ~config ?release_store ~db ~metrics ~ledger
       ~rng:(Rng.create ~seed ()) ()
   in
   let front_port, run_front =
@@ -115,12 +109,9 @@ let serve dir metrics_file demo port ledger_file audit_file audit_max_bytes sync
       (Flex_service.Reactor.port reactor, fun () -> Flex_service.Reactor.run reactor)
     end
   in
-  Fmt.pr "flex_serve: listening on 127.0.0.1:%d (%d tables, %d rows, %d execution domain%s)@."
-    front_port
+  Fmt.pr "flex_serve: listening on 127.0.0.1:%d (%d tables, %d rows)@." front_port
     (List.length (Database.table_names db))
-    (Metrics.total_rows metrics)
-    domains
-    (if domains = 1 then "" else "s");
+    (Metrics.total_rows metrics);
   if thread_per_conn then Fmt.pr "flex_serve: thread-per-connection front end@."
   else
     Fmt.pr
@@ -236,15 +227,6 @@ let () =
             "Render $(b,~N rows) cardinality annotations in EXPLAIN responses. Off by \
              default: EXPLAIN is uncharged and the estimates are seeded from exact \
              table row counts, so enabling this declares table cardinalities public.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Worker domains for parallel query execution (1 = sequential). Defaults to \
-             the machine's recommended domain count, capped at 4.")
   in
   let stats_port =
     Arg.(
@@ -378,7 +360,7 @@ let () =
     Term.(
       const serve $ dir $ metrics_file $ demo $ port $ ledger_file $ audit_file
       $ audit_max_bytes $ sync $ epsilon $ delta $ analyst_epsilon $ analyst_delta $ cap
-      $ seed $ domains $ explain_estimates $ stats_port $ no_telemetry $ release_cache
+      $ seed $ explain_estimates $ stats_port $ no_telemetry $ release_cache
       $ releases_file $ release_capacity $ workers $ max_connections $ max_pending
       $ idle_timeout $ rate_limit $ thread_per_conn $ statement_capacity $ flight_capacity)
   in

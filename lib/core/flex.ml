@@ -8,7 +8,6 @@ module Value = Flex_engine.Value
 module Database = Flex_engine.Database
 module Metrics = Flex_engine.Metrics
 module Executor = Flex_engine.Executor
-module Task_pool = Flex_engine.Task_pool
 module Span = Flex_obs.Span
 
 (* The FLEX mechanism (paper §4, Definition 7): parse the query, compute its
@@ -145,18 +144,17 @@ let smooth_columns ?span ~options:opts (analysis : Elastic.analysis) : column_re
             Some { name; kind; elastic = sens; smooth; noise_scale = scale_of opts smooth })
         analysis.Elastic.columns)
 
-(* Stage 3 — run the unmodified query on the database; [pool] dispatches
-   execution onto the engine's morsel-parallel operators. Under a span the
+(* Stage 3 — run the unmodified query on the database. Under a span the
    optimizer rewrite and the engine run appear as separate children. *)
-let execute ?span ?pool ?(optimize = false) ?metrics ~db (q : Ast.query) :
+let execute ?span ?(optimize = false) ?metrics ~db (q : Ast.query) :
     (Executor.result_set, Errors.reason) result =
   Span.timed span "execute" (fun sp ->
       match
         if optimize then begin
           let p = Span.timed sp "optimize" (fun _ -> Flex_engine.Optimizer.plan ?metrics q) in
-          Span.timed sp "run" (fun _ -> Executor.run_plan ?pool db p)
+          Span.timed sp "run" (fun _ -> Executor.run_plan db p)
         end
-        else Span.timed sp "run" (fun _ -> Executor.run ?pool db q)
+        else Span.timed sp "run" (fun _ -> Executor.run db q)
       with
       | true_result -> Ok true_result
       | exception Executor.Error m -> Error (Errors.Analysis_error ("execution: " ^ m))
@@ -275,12 +273,12 @@ let post_process (sx : Flex_sql.Factor.suffix) ~(columns : string list)
   in
   { Executor.columns = List.map snd sx.Flex_sql.Factor.outputs; rows = out_rows }
 
-let run ?budget ?pool ?optimize ~rng ~options:opts ~db ~metrics (q : Ast.query) :
+let run ?budget ?optimize ~rng ~options:opts ~db ~metrics (q : Ast.query) :
     (release, Errors.reason) result =
   match analyze_ast ~options:opts ~metrics q with
   | Error r -> Error r
   | Ok analysis -> (
-    match execute ?pool ?optimize ~metrics ~db q with
+    match execute ?optimize ~metrics ~db q with
     | Error r -> Error r
     | Ok true_result ->
       let column_releases = smooth_columns ~options:opts analysis in
@@ -295,10 +293,10 @@ let run ?budget ?pool ?optimize ~rng ~options:opts ~db ~metrics (q : Ast.query) 
       | None -> ());
       Ok (perturb ~rng ~options:opts ~metrics ~db ~analysis ~column_releases true_result))
 
-let run_sql ?budget ?pool ?optimize ~rng ~options ~db ~metrics sql =
+let run_sql ?budget ?optimize ~rng ~options ~db ~metrics sql =
   match Flex_sql.Parser.parse sql with
   | Error e -> Error (Errors.Parse_error e)
-  | Ok q -> run ?budget ?pool ?optimize ~rng ~options ~db ~metrics q
+  | Ok q -> run ?budget ?optimize ~rng ~options ~db ~metrics q
 
 (* Analysis-only entry point: what the paper's Table 2 times as "Elastic
    Sensitivity Analysis". Returns the smooth bound for each aggregate

@@ -6,7 +6,6 @@ module Budget = Flex_dp.Budget
 module Database = Flex_engine.Database
 module Metrics = Flex_engine.Metrics
 module Executor = Flex_engine.Executor
-module Task_pool = Flex_engine.Task_pool
 
 (** The FLEX mechanism (paper §4, Definition 7): parse the query, compute
     its elastic sensitivity from precomputed metrics, execute the unmodified
@@ -100,22 +99,19 @@ val smooth_columns :
 
 val execute :
   ?span:Flex_obs.Span.t ->
-  ?pool:Task_pool.t ->
   ?optimize:bool ->
   ?metrics:Metrics.t ->
   db:Database.t ->
   Ast.query ->
   (Executor.result_set, Errors.reason) result
 (** Stage 3: the unmodified query on the underlying database, engine
-    exceptions mapped to typed reasons. [pool] dispatches execution onto the
-    engine's morsel-parallel operators; results are identical either way.
-    [~optimize:true] (default false) routes execution through
-    {!Optimizer.rewrite}, with [?metrics] doubling as cardinality statistics
-    (paper §3.4). The privacy analysis never sees the rewritten plan: result
-    multisets are identical up to floating-point rounding, so releases differ
-    at most in row order — except float SUM/AVG, whose accumulation order
-    join reorder and build-side swaps can re-associate, shifting low-order
-    bits (well inside the noise scale). *)
+    exceptions mapped to typed reasons. [~optimize:true] (default false)
+    routes execution through {!Optimizer.rewrite}, with [?metrics] doubling
+    as cardinality statistics (paper §3.4). The privacy analysis never sees
+    the rewritten plan: result multisets are identical up to floating-point
+    rounding, so releases differ at most in row order — except float
+    SUM/AVG, whose accumulation order join reorder and build-side swaps can
+    re-associate, shifting low-order bits (well inside the noise scale). *)
 
 val perturb :
   ?span:Flex_obs.Span.t ->
@@ -148,7 +144,6 @@ val post_process :
 
 val run :
   ?budget:Budget.t ->
-  ?pool:Task_pool.t ->
   ?optimize:bool ->
   rng:Rng.t ->
   options:options ->
@@ -157,13 +152,11 @@ val run :
   Ast.query ->
   (release, Errors.reason) result
 (** Execute one query end to end. When [budget] is given, it is charged
-    [epsilon * aggregate-columns] before anything is released; [pool] is
-    passed through to {!execute}.
+    [epsilon * aggregate-columns] before anything is released.
     @raise Budget.Exhausted when the budget cannot afford the query. *)
 
 val run_sql :
   ?budget:Budget.t ->
-  ?pool:Task_pool.t ->
   ?optimize:bool ->
   rng:Rng.t ->
   options:options ->

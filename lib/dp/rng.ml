@@ -6,28 +6,6 @@ let split t =
   let s1 = Random.State.bits t and s2 = Random.State.bits t in
   Random.State.make [| s1; s2 |]
 
-(* Per-domain generator streams split from one parent. [Random.State] is not
-   domain-safe: two domains sampling one state race on its internal lag
-   array and can hand the same draw to both (duplicated noise is a privacy
-   bug, not just a statistics bug). A [Stream.t] instead splits one child
-   state per domain, lazily, under a mutex: the parent is touched exactly
-   once per domain, and every subsequent draw works on domain-local state
-   with no synchronisation at all. Which child a domain receives depends on
-   first-touch order, but each child's sequence is a deterministic function
-   of the parent seed and its split index. *)
-module Stream = struct
-  type rng = t
-
-  type t = { m : Mutex.t; key : rng Domain.DLS.key }
-
-  let create parent =
-    let m = Mutex.create () in
-    let key = Domain.DLS.new_key (fun () -> Mutex.protect m (fun () -> split parent)) in
-    { m; key }
-
-  let get t = Domain.DLS.get t.key
-end
-
 let float t bound = Random.State.float t bound
 
 let int t bound = Random.State.int t bound

@@ -12,28 +12,6 @@ val create : ?seed:int -> unit -> t
 val split : t -> t
 (** Derive an independent generator, advancing the parent. *)
 
-module Stream : sig
-  (** Domain-safe generator streams. [Random.State] values must never be
-      shared across domains (racing domains can duplicate draws — for noise
-      sampling, a privacy bug); a [Stream.t] lazily splits one child
-      generator per domain from a parent, so concurrent domains each draw
-      from their own deterministic stream. *)
-
-  type rng := t
-
-  type t
-
-  val create : rng -> t
-  (** [create parent] owns [parent]: the parent state is advanced (under a
-      mutex) once per domain that touches the stream, and must not be used
-      directly afterwards. *)
-
-  val get : t -> rng
-  (** The calling domain's generator, split from the parent on first use.
-      The returned state is domain-local: draw from it freely, but do not
-      pass it to another domain. *)
-end
-
 val float : t -> float -> float
 (** [float t b] is uniform in [\[0, b)]. *)
 

@@ -153,100 +153,3 @@ let compute_iter (func : Ast.agg_func) ~distinct ~star ~nrows
             if Value.is_null !best || Value.compare v !best > 0 then best := v);
       !best
     | Ast.Median | Ast.Stddev -> fallback ()
-
-(* --- partial aggregation ------------------------------------------------- *)
-
-(* Aggregates the parallel engine may split into per-chunk partial states and
-   merge. Merging must reproduce the sequential result bit-for-bit, which
-   rules out float SUM/AVG (float addition is not associative) along with
-   DISTINCT/MEDIAN/STDDEV (whole-collection). SUM is attempted optimistically:
-   an all-Int group sums exactly in any order, and the partial state records
-   whether a non-Int value was seen so [Partial.merge] can demand a
-   sequential recomputation. Star-counts need no iteration at all ([nrows] is
-   already known), so they are excluded too. *)
-let mergeable (func : Ast.agg_func) ~distinct ~star =
-  (not distinct) && (not star)
-  &&
-  match func with
-  | Ast.Count | Ast.Sum | Ast.Min | Ast.Max -> true
-  | Ast.Avg | Ast.Median | Ast.Stddev -> false
-
-module Partial = struct
-  type t =
-    | Count of { mutable n : int }
-    | Sum of { mutable n : int; mutable isum : int; mutable pure_int : bool }
-    | Min of { mutable best : Value.t }
-    | Max of { mutable best : Value.t }
-
-  let create (func : Ast.agg_func) =
-    match func with
-    | Ast.Count -> Count { n = 0 }
-    | Ast.Sum -> Sum { n = 0; isum = 0; pure_int = true }
-    | Ast.Min -> Min { best = Value.Null }
-    | Ast.Max -> Max { best = Value.Null }
-    | Ast.Avg | Ast.Median | Ast.Stddev ->
-      error "Partial.create: %s is not mergeable" (Ast.agg_func_name func)
-
-  let add t v =
-    if not (Value.is_null v) then
-      match t with
-      | Count c -> c.n <- c.n + 1
-      | Sum s -> (
-        s.n <- s.n + 1;
-        match v with
-        | Value.Int i -> s.isum <- s.isum + i
-        | _ -> s.pure_int <- false)
-      | Min m -> if Value.is_null m.best || Value.compare v m.best < 0 then m.best <- v
-      | Max m -> if Value.is_null m.best || Value.compare v m.best > 0 then m.best <- v
-
-  (* [merge parts] combines chunk states (all created by the same [create]
-     call pattern); [None] means the merge cannot reproduce the sequential
-     result — a non-Int value reached SUM — and the caller must recompute
-     sequentially. *)
-  let merge (parts : t array) : Value.t option =
-    match parts.(0) with
-    | Count _ ->
-      let n =
-        Array.fold_left
-          (fun acc p -> match p with Count c -> acc + c.n | _ -> acc)
-          0 parts
-      in
-      Some (Value.Int n)
-    | Sum _ ->
-      let n = ref 0 and isum = ref 0 and pure = ref true in
-      Array.iter
-        (function
-          | Sum s ->
-            n := !n + s.n;
-            isum := !isum + s.isum;
-            if not s.pure_int then pure := false
-          | _ -> ())
-        parts;
-      if not !pure then None
-      else if !n = 0 then Some Value.Null
-      else Some (Value.Int !isum)
-    | Min _ ->
-      let best = ref Value.Null in
-      Array.iter
-        (function
-          | Min m ->
-            if
-              (not (Value.is_null m.best))
-              && (Value.is_null !best || Value.compare m.best !best < 0)
-            then best := m.best
-          | _ -> ())
-        parts;
-      Some !best
-    | Max _ ->
-      let best = ref Value.Null in
-      Array.iter
-        (function
-          | Max m ->
-            if
-              (not (Value.is_null m.best))
-              && (Value.is_null !best || Value.compare m.best !best > 0)
-            then best := m.best
-          | _ -> ())
-        parts;
-      Some !best
-end

@@ -24,27 +24,3 @@ val compute_iter :
 (** Streaming [compute]: [iter f] applies [f] to the argument values in row
     order. Single-pass for the common non-distinct aggregates; equivalent to
     [compute] in results and errors. *)
-
-val mergeable : Ast.agg_func -> distinct:bool -> star:bool -> bool
-(** Whether the aggregate may be computed as per-chunk {!Partial} states and
-    merged with a result identical to the sequential computation. COUNT, MIN,
-    MAX unconditionally; SUM optimistically (exact for all-Int groups, and
-    {!Partial.merge} reports failure otherwise); never for DISTINCT, [*],
-    AVG/MEDIAN/STDDEV. *)
-
-module Partial : sig
-  (** Mergeable per-chunk aggregate state for parallel single-group
-      aggregation. Each chunk [create]s a state, [add]s its values, and the
-      caller [merge]s the chunk states in any order. *)
-
-  type t
-
-  val create : Ast.agg_func -> t
-  (** @raise Error when the function is never {!mergeable}. *)
-
-  val add : t -> Value.t -> unit
-
-  val merge : t array -> Value.t option
-  (** [None] when the merged result would not be bit-identical to the
-      sequential one (a non-Int value reached SUM): recompute sequentially. *)
-end

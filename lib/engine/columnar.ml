@@ -109,7 +109,6 @@ let rec flatten_rel db (r : Plan.rel) : (step * Ast.expr list) list * (int * Ast
 (* --- the slab: combined headers over per-table chunks ----------------------- *)
 
 type ctx = {
-  pool : Task_pool.t option;
   chunks : Chunk.t array;
   headers : header array; (* full combined, alias-qualified *)
   col_tbl : int array; (* combined column -> table index *)
@@ -120,13 +119,12 @@ type ctx = {
 (* Logical rows over the joined tables: [n] rows, each mapping through
    [maps.(t)] to a physical row of table [t] ([None] = identity). Map
    composition after a join is lazy: tables never read downstream (not
-   projected, ordered, grouped or join-probed) never pay for it. Forcing
-   happens on the coordinating thread before any parallel section. *)
+   projected, ordered, grouped or join-probed) never pay for it. *)
 type slab = { n : int; maps : int array option Lazy.t array }
 
 let map_of (slab : slab) t = Lazy.force slab.maps.(t)
 
-let ctx_of_steps pool (steps : step array) : ctx =
+let ctx_of_steps (steps : step array) : ctx =
   let chunks = Array.map (fun s -> Chunk.of_table s.s_table) steps in
   let headers = Vec.create () and col_tbl = Vec.create () and col_off = Vec.create () in
   let tbl_start = Array.make (Array.length steps) 0 in
@@ -141,7 +139,6 @@ let ctx_of_steps pool (steps : step array) : ctx =
         (Table.columns s.s_table))
     steps;
   {
-    pool;
     chunks;
     headers = Vec.to_array headers;
     col_tbl = Vec.to_array col_tbl;
@@ -346,10 +343,8 @@ let compile_pred ctx t (e : Ast.expr) : pred =
    Within a group every generic conjunct is evaluated on every input row —
    the row engine's AND evaluates all operands before combining, so its
    error/3-valued behaviour depends on all of them — while typed conjuncts
-   (total, error-free) may short-circuit each other. All-typed groups run
-   morsel-parallel over chunk ranges (order-preserving concat); generic
-   conjuncts share a compiled scratch row and stay sequential. *)
-let apply_group pool (chunk : Chunk.t) (sel : int array option) (conjs : Ast.expr list)
+   (total, error-free) may short-circuit each other. *)
+let apply_group (chunk : Chunk.t) (sel : int array option) (conjs : Ast.expr list)
     ~strict ~(compile : Ast.expr -> pred) : int array option =
   let preds = List.map compile conjs in
   let typed = List.filter_map (function P_typed f -> Some f | _ -> None) preds in
@@ -368,29 +363,20 @@ let apply_group pool (chunk : Chunk.t) (sel : int array option) (conjs : Ast.exp
       gens;
     !ok
   in
-  let pool = if gens = [] then pool else None in
-  let nin = match sel with None -> chunk.Chunk.n | Some s -> Array.length s in
-  let at = match sel with None -> fun i -> i | Some s -> fun i -> s.(i) in
-  let chunkf lo hi =
-    let out = Vec.create () in
-    for i = lo to hi - 1 do
-      let p = at i in
-      if keep p then Vec.push out p
-    done;
-    out
-  in
-  let out =
-    match Parallel.gather pool nin chunkf with
-    | None -> chunkf 0 nin
-    | Some parts -> Vec.concat parts
-  in
+  let out = Vec.create () in
+  (match sel with
+  | None ->
+      for p = 0 to chunk.Chunk.n - 1 do
+        if keep p then Vec.push out p
+      done
+  | Some s -> Array.iter (fun p -> if keep p then Vec.push out p) s);
   Some (Vec.to_array out)
 
 let selection_of ctx t (s : step) : int array option =
   let compile = compile_pred ctx t in
   List.fold_left
     (fun sel (conjs, strict) ->
-      apply_group ctx.pool ctx.chunks.(t) sel conjs ~strict ~compile)
+      apply_group ctx.chunks.(t) sel conjs ~strict ~compile)
     None s.s_groups
 
 (* --- hash equijoin ---------------------------------------------------------- *)
@@ -449,24 +435,17 @@ let join_step ctx (slab : slab) ~bt ~probe_ci ~build_off (bsel : int array optio
      build row order, through a per-strategy candidate iterator. One closure
      for the whole loop, not one per probe row. *)
   let emit_generic (cand : int -> (int -> unit) -> unit) : int array * int array =
-    let chunkf lo hi =
-      let op = Vec.create () and ob = Vec.create () in
-      let cur = ref 0 in
-      let push p =
-        Vec.push op !cur;
-        Vec.push ob p
-      in
-      for i = lo to hi - 1 do
-        cur := i;
-        cand i push
-      done;
-      (Vec.to_array op, Vec.to_array ob)
+    let op = Vec.create () and ob = Vec.create () in
+    let cur = ref 0 in
+    let push p =
+      Vec.push op !cur;
+      Vec.push ob p
     in
-    match Parallel.gather ctx.pool np chunkf with
-    | None -> chunkf 0 np
-    | Some parts ->
-        ( Array.concat (List.map fst (Array.to_list parts)),
-          Array.concat (List.map snd (Array.to_list parts)) )
+    for i = 0 to np - 1 do
+      cur := i;
+      cand i push
+    done;
+    (Vec.to_array op, Vec.to_array ob)
   in
   (* Strategy selection replicates the row join: dense counting-sort for
      small-int keys in a modest range, then an unboxed int-keyed table, a
@@ -584,43 +563,53 @@ let join_step ctx (slab : slab) ~bt ~probe_ci ~build_off (bsel : int array optio
                    [lo..hi] are small ints, so any probe key inside the
                    range passes Row_table's small-int guard for free. *)
                 let pmask = pcol.Chunk.nulls in
-                let chunkf plo phi =
-                  let total = ref 0 in
-                  (match (pmap, pmask) with
-                  | None, None ->
-                      for i = plo to phi - 1 do
+                let total = ref 0 in
+                (match (pmap, pmask) with
+                | None, None ->
+                    for i = 0 to np - 1 do
+                      let k = pa.(i) in
+                      if k >= lo && k <= hi then
+                        total := !total + starts.(k - lo + 1) - starts.(k - lo)
+                    done
+                | None, Some mask ->
+                    for i = 0 to np - 1 do
+                      if not mask.(i) then begin
                         let k = pa.(i) in
                         if k >= lo && k <= hi then
                           total := !total + starts.(k - lo + 1) - starts.(k - lo)
-                      done
-                  | None, Some mask ->
-                      for i = plo to phi - 1 do
-                        if not mask.(i) then begin
-                          let k = pa.(i) in
-                          if k >= lo && k <= hi then
-                            total := !total + starts.(k - lo + 1) - starts.(k - lo)
-                        end
-                      done
-                  | Some m, None ->
-                      for i = plo to phi - 1 do
-                        let k = pa.(m.(i)) in
+                      end
+                    done
+                | Some m, None ->
+                    for i = 0 to np - 1 do
+                      let k = pa.(m.(i)) in
+                      if k >= lo && k <= hi then
+                        total := !total + starts.(k - lo + 1) - starts.(k - lo)
+                    done
+                | Some m, Some mask ->
+                    for i = 0 to np - 1 do
+                      let p = m.(i) in
+                      if not mask.(p) then begin
+                        let k = pa.(p) in
                         if k >= lo && k <= hi then
                           total := !total + starts.(k - lo + 1) - starts.(k - lo)
-                      done
-                  | Some m, Some mask ->
-                      for i = plo to phi - 1 do
-                        let p = m.(i) in
-                        if not mask.(p) then begin
-                          let k = pa.(p) in
-                          if k >= lo && k <= hi then
-                            total := !total + starts.(k - lo + 1) - starts.(k - lo)
-                        end
-                      done);
-                  let op = Array.make !total 0 and ob = Array.make !total 0 in
-                  let w = ref 0 in
-                  (match (pmap, pmask) with
-                  | None, None ->
-                      for i = plo to phi - 1 do
+                      end
+                    done);
+                let op = Array.make !total 0 and ob = Array.make !total 0 in
+                let w = ref 0 in
+                (match (pmap, pmask) with
+                | None, None ->
+                    for i = 0 to np - 1 do
+                      let k = pa.(i) in
+                      if k >= lo && k <= hi then
+                        for q = starts.(k - lo) to starts.(k - lo + 1) - 1 do
+                          op.(!w) <- i;
+                          ob.(!w) <- items.(q);
+                          incr w
+                        done
+                    done
+                | None, Some mask ->
+                    for i = 0 to np - 1 do
+                      if not mask.(i) then begin
                         let k = pa.(i) in
                         if k >= lo && k <= hi then
                           for q = starts.(k - lo) to starts.(k - lo + 1) - 1 do
@@ -628,49 +617,32 @@ let join_step ctx (slab : slab) ~bt ~probe_ci ~build_off (bsel : int array optio
                             ob.(!w) <- items.(q);
                             incr w
                           done
-                      done
-                  | None, Some mask ->
-                      for i = plo to phi - 1 do
-                        if not mask.(i) then begin
-                          let k = pa.(i) in
-                          if k >= lo && k <= hi then
-                            for q = starts.(k - lo) to starts.(k - lo + 1) - 1 do
-                              op.(!w) <- i;
-                              ob.(!w) <- items.(q);
-                              incr w
-                            done
-                        end
-                      done
-                  | Some m, None ->
-                      for i = plo to phi - 1 do
-                        let k = pa.(m.(i)) in
+                      end
+                    done
+                | Some m, None ->
+                    for i = 0 to np - 1 do
+                      let k = pa.(m.(i)) in
+                      if k >= lo && k <= hi then
+                        for q = starts.(k - lo) to starts.(k - lo + 1) - 1 do
+                          op.(!w) <- i;
+                          ob.(!w) <- items.(q);
+                          incr w
+                        done
+                    done
+                | Some m, Some mask ->
+                    for i = 0 to np - 1 do
+                      let p = m.(i) in
+                      if not mask.(p) then begin
+                        let k = pa.(p) in
                         if k >= lo && k <= hi then
                           for q = starts.(k - lo) to starts.(k - lo + 1) - 1 do
                             op.(!w) <- i;
                             ob.(!w) <- items.(q);
                             incr w
                           done
-                      done
-                  | Some m, Some mask ->
-                      for i = plo to phi - 1 do
-                        let p = m.(i) in
-                        if not mask.(p) then begin
-                          let k = pa.(p) in
-                          if k >= lo && k <= hi then
-                            for q = starts.(k - lo) to starts.(k - lo + 1) - 1 do
-                              op.(!w) <- i;
-                              ob.(!w) <- items.(q);
-                              incr w
-                            done
-                        end
-                      done);
-                  (op, ob)
-                in
-                (match Parallel.gather ctx.pool np chunkf with
-                | None -> chunkf 0 np
-                | Some parts ->
-                    ( Array.concat (List.map fst (Array.to_list parts)),
-                      Array.concat (List.map snd (Array.to_list parts)) ))
+                      end
+                    done);
+                (op, ob)
             | _ ->
                 let probe_int = Lazy.force probe_int in
                 emit_generic (fun i f ->
@@ -886,12 +858,7 @@ let materialize ctx (slab : slab) (proj : int array) ~(order : int array option)
       | Some o, None -> fun k -> rows.(o.(start + k))
       | Some o, Some m -> fun k -> rows.(m.(o.(start + k)))
     in
-    match
-      Parallel.gather ctx.pool take (fun lo hi ->
-          Array.init (hi - lo) (fun k -> make (lo + k)))
-    with
-    | None -> Vec.wrap (Array.init take make)
-    | Some parts -> Vec.of_arrays parts
+    Vec.wrap (Array.init take make)
   end
   else begin
     (* Wide projections (the equijoin SELECT-* shape) materialise
@@ -911,20 +878,18 @@ let materialize ctx (slab : slab) (proj : int array) ~(order : int array option)
         if not (Hashtbl.mem boxed_dicts (t, off)) then
           match (ctx.chunks.(t).Chunk.cols.(off)).Chunk.data with
           | Chunk.Strings s ->
-              (* boxed on the coordinating thread, before any worker reads *)
               Hashtbl.add boxed_dicts (t, off)
                 (Array.map (fun v -> Value.String v) s.Chunk.dict)
           | _ -> ())
       proj;
-    let fill_cols phys_of lo hi =
-      let cnt = hi - lo in
-      let out = Array.init cnt (fun _ -> Array.make w Value.Null) in
+    let fill_cols phys_of =
+      let out = Array.init take (fun _ -> Array.make w Value.Null) in
       let pi_cache : (int, int array) Hashtbl.t = Hashtbl.create 4 in
       let phys_idx t =
         match Hashtbl.find_opt pi_cache t with
         | Some pi -> pi
         | None ->
-            let pi : int array = phys_of t lo hi in
+            let pi : int array = phys_of t in
             Hashtbl.add pi_cache t pi;
             pi
       in
@@ -936,53 +901,52 @@ let materialize ctx (slab : slab) (proj : int array) ~(order : int array option)
         let col = chunk.Chunk.cols.(off) in
         match (col.Chunk.data, col.Chunk.nulls) with
         | Chunk.Ints a, None ->
-            for k = 0 to cnt - 1 do
+            for k = 0 to take - 1 do
               out.(k).(j) <- Value.Int a.(pi.(k))
             done
         | Chunk.Ints a, Some nu ->
-            for k = 0 to cnt - 1 do
+            for k = 0 to take - 1 do
               let i = pi.(k) in
               out.(k).(j) <- (if nu.(i) then Value.Null else Value.Int a.(i))
             done
         | Chunk.Floats a, None ->
-            for k = 0 to cnt - 1 do
+            for k = 0 to take - 1 do
               out.(k).(j) <- Value.Float a.(pi.(k))
             done
         | Chunk.Floats a, Some nu ->
-            for k = 0 to cnt - 1 do
+            for k = 0 to take - 1 do
               let i = pi.(k) in
               out.(k).(j) <- (if nu.(i) then Value.Null else Value.Float a.(i))
             done
         | Chunk.Strings s, _ ->
             (* codes carry NULL as -1, so the nulls mask is already folded in *)
             let boxed = Hashtbl.find boxed_dicts (t, off) in
-            for k = 0 to cnt - 1 do
+            for k = 0 to take - 1 do
               let c = s.Chunk.codes.(pi.(k)) in
               out.(k).(j) <- (if c < 0 then Value.Null else boxed.(c))
             done
         | Chunk.Boxed, _ ->
             let rows = chunk.Chunk.rows in
-            for k = 0 to cnt - 1 do
+            for k = 0 to take - 1 do
               out.(k).(j) <- rows.(pi.(k)).(off)
             done
       done;
       out
     in
-    let phys_direct t lo hi =
+    let phys_direct t =
       match map_of slab t with
-      | None -> Array.init (hi - lo) (fun k -> start + lo + k)
-      | Some m -> Array.init (hi - lo) (fun k -> m.(start + lo + k))
+      | None -> Array.init take (fun k -> start + k)
+      | Some m -> Array.init take (fun k -> m.(start + k))
     in
-    let phys_ordered o t lo hi =
+    let phys_ordered o t =
       match map_of slab t with
-      | None -> Array.init (hi - lo) (fun k -> o.(start + lo + k))
-      | Some m -> Array.init (hi - lo) (fun k -> m.(o.(start + lo + k)))
+      | None -> Array.init take (fun k -> o.(start + k))
+      | Some m -> Array.init take (fun k -> m.(o.(start + k)))
     in
     (* No ORDER BY: read output rows straight through the lazy maps — no
        per-window gather arrays, just one bounds-free int indirection per
        cell. The per-column [match] on the map is a predictable branch. *)
-    let chunkf_direct lo hi =
-      let cnt = hi - lo in
+    let rows_direct () =
       let src j =
         let t = ctx.col_tbl.(proj.(j)) in
         (ctx.chunks.(t).Chunk.rows, map_of slab t, ctx.col_off.(proj.(j)))
@@ -990,13 +954,13 @@ let materialize ctx (slab : slab) (proj : int array) ~(order : int array option)
       match proj with
       | [| _ |] ->
           let rows0, m0, o0 = src 0 in
-          Array.init cnt (fun k ->
-              let i = start + lo + k in
+          Array.init take (fun k ->
+              let i = start + k in
               [| (match m0 with None -> rows0.(i) | Some m -> rows0.(m.(i))).(o0) |])
       | [| _; _ |] ->
           let rows0, m0, o0 = src 0 and rows1, m1, o1 = src 1 in
-          Array.init cnt (fun k ->
-              let i = start + lo + k in
+          Array.init take (fun k ->
+              let i = start + k in
               [|
                 (match m0 with None -> rows0.(i) | Some m -> rows0.(m.(i))).(o0);
                 (match m1 with None -> rows1.(i) | Some m -> rows1.(m.(i))).(o1);
@@ -1004,20 +968,19 @@ let materialize ctx (slab : slab) (proj : int array) ~(order : int array option)
       | [| _; _; _ |] ->
           let rows0, m0, o0 = src 0 and rows1, m1, o1 = src 1 in
           let rows2, m2, o2 = src 2 in
-          Array.init cnt (fun k ->
-              let i = start + lo + k in
+          Array.init take (fun k ->
+              let i = start + k in
               [|
                 (match m0 with None -> rows0.(i) | Some m -> rows0.(m.(i))).(o0);
                 (match m1 with None -> rows1.(i) | Some m -> rows1.(m.(i))).(o1);
                 (match m2 with None -> rows2.(i) | Some m -> rows2.(m.(i))).(o2);
               |])
-      | _ -> fill_cols phys_direct lo hi
+      | _ -> fill_cols phys_direct
     in
     (* ORDER BY: gather each source table's row pointers for the output
        window first (monomorphic loops over the order/map variants), then
        build output rows from those pointers. *)
-    let chunkf_ordered o lo hi =
-      let cnt = hi - lo in
+    let rows_ordered o =
       let rp_cache : (int, Value.t array array) Hashtbl.t = Hashtbl.create 4 in
       let row_ptrs t : Value.t array array =
         match Hashtbl.find_opt rp_cache t with
@@ -1026,8 +989,8 @@ let materialize ctx (slab : slab) (proj : int array) ~(order : int array option)
             let rows = ctx.chunks.(t).Chunk.rows in
             let rp =
               match map_of slab t with
-              | None -> Array.init cnt (fun k -> rows.(o.(start + lo + k)))
-              | Some m -> Array.init cnt (fun k -> rows.(m.(o.(start + lo + k))))
+              | None -> Array.init take (fun k -> rows.(o.(start + k)))
+              | Some m -> Array.init take (fun k -> rows.(m.(o.(start + k))))
             in
             Hashtbl.add rp_cache t rp;
             rp
@@ -1035,26 +998,19 @@ let materialize ctx (slab : slab) (proj : int array) ~(order : int array option)
       match proj with
       | [| c0 |] ->
           let rp0 = row_ptrs ctx.col_tbl.(c0) and o0 = ctx.col_off.(c0) in
-          Array.init cnt (fun k -> [| rp0.(k).(o0) |])
+          Array.init take (fun k -> [| rp0.(k).(o0) |])
       | [| c0; c1 |] ->
           let rp0 = row_ptrs ctx.col_tbl.(c0) and o0 = ctx.col_off.(c0) in
           let rp1 = row_ptrs ctx.col_tbl.(c1) and o1 = ctx.col_off.(c1) in
-          Array.init cnt (fun k -> [| rp0.(k).(o0); rp1.(k).(o1) |])
+          Array.init take (fun k -> [| rp0.(k).(o0); rp1.(k).(o1) |])
       | [| c0; c1; c2 |] ->
           let rp0 = row_ptrs ctx.col_tbl.(c0) and o0 = ctx.col_off.(c0) in
           let rp1 = row_ptrs ctx.col_tbl.(c1) and o1 = ctx.col_off.(c1) in
           let rp2 = row_ptrs ctx.col_tbl.(c2) and o2 = ctx.col_off.(c2) in
-          Array.init cnt (fun k -> [| rp0.(k).(o0); rp1.(k).(o1); rp2.(k).(o2) |])
-      | _ -> fill_cols (phys_ordered o) lo hi
+          Array.init take (fun k -> [| rp0.(k).(o0); rp1.(k).(o1); rp2.(k).(o2) |])
+      | _ -> fill_cols (phys_ordered o)
     in
-    let chunkf =
-      match order with None -> chunkf_direct | Some o -> chunkf_ordered o
-    in
-    (* force lazy maps on this thread before workers read them *)
-    Array.iter (fun ci -> ignore (map_of slab ctx.col_tbl.(ci))) proj;
-    match Parallel.gather ctx.pool take chunkf with
-    | None -> Vec.wrap (chunkf 0 take)
-    | Some parts -> Vec.of_arrays parts
+    Vec.wrap (match order with None -> rows_direct () | Some o -> rows_ordered o)
   end
 
 (* --- GROUP BY --------------------------------------------------------------- *)
@@ -1751,9 +1707,9 @@ let run_grouped ctx (slab : slab) (task : task)
 
 (* Run one recognised select body (no ORDER BY handling): the WHERE-filtered
    join pipeline plus either a plain column projection or the grouped tail. *)
-let run_body ?pool db (task : task) : result_set =
+let run_body db (task : task) : result_set =
   ignore db;
-  let ctx = ctx_of_steps pool task.steps in
+  let ctx = ctx_of_steps task.steps in
   let slab = build_slab ctx task.steps in
   let projections = Compiled.expand_projections ctx.headers task.projections in
   let any_agg =
@@ -1776,10 +1732,10 @@ let run_body ?pool db (task : task) : result_set =
 (* Full ungrouped queries including ORDER BY + LIMIT/OFFSET: sort keys come
    straight from the slab's typed columns ({!Key_sort}), only the surviving
    window is materialised. *)
-let run_query ?pool db (task : task) ~(order_by : (Ast.expr * Ast.order_dir) list)
+let run_query db (task : task) ~(order_by : (Ast.expr * Ast.order_dir) list)
     ~(limit : int option) ~(offset : int option) : result_set =
   ignore db;
-  let ctx = ctx_of_steps pool task.steps in
+  let ctx = ctx_of_steps task.steps in
   (match task.having with Some _ -> fallback () | None -> ());
   let projections = Compiled.expand_projections ctx.headers task.projections in
   if
@@ -1890,7 +1846,7 @@ let task_of_select db (s : Ast.select) : task =
     match s.from with [ tr ] -> Array.of_list (flatten_tref db tr []) | _ -> fallback ()
   in
   if Array.length steps = 0 then fallback ();
-  let ctx0 = ctx_of_steps None steps in
+  let ctx0 = ctx_of_steps steps in
   (match s.where with Some w -> attach ctx0 steps w | None -> ());
   { steps; projections = s.projections; group_by = s.group_by; having = s.having }
 
@@ -1900,7 +1856,7 @@ let task_of_select_plan db (sp : Plan.select_plan) : task =
   let with_filters, prefix_preds = flatten_rel db source in
   let steps = Array.of_list (List.map fst with_filters) in
   if Array.length steps = 0 then fallback ();
-  let ctx0 = ctx_of_steps None steps in
+  let ctx0 = ctx_of_steps steps in
   (* scan-level filters first (innermost first), then predicates above join
      subtrees (inner to outer), then WHERE — the row engine's evaluation
      order *)
@@ -1920,31 +1876,31 @@ let guard (f : unit -> result_set) : result_set option =
   try Some (f ())
   with Fallback | Compiled.Error _ | Eval.Error _ | Aggregate.Error _ -> None
 
-let query ?pool db (q : Ast.query) : result_set option =
+let query db (q : Ast.query) : result_set option =
   if not !enabled then None
   else
     guard (fun () ->
         if q.Ast.ctes <> [] then fallback ();
         match q.Ast.body with
         | Ast.Select s ->
-            run_query ?pool db (task_of_select db s) ~order_by:q.Ast.order_by
+            run_query db (task_of_select db s) ~order_by:q.Ast.order_by
               ~limit:q.Ast.limit ~offset:q.Ast.offset
         | _ -> fallback ())
 
-let select ?pool db (s : Ast.select) : result_set option =
-  if not !enabled then None else guard (fun () -> run_body ?pool db (task_of_select db s))
+let select db (s : Ast.select) : result_set option =
+  if not !enabled then None else guard (fun () -> run_body db (task_of_select db s))
 
-let plan_query ?pool db (p : Plan.t) : result_set option =
+let plan_query db (p : Plan.t) : result_set option =
   if not !enabled then None
   else
     guard (fun () ->
         if p.Plan.ctes <> [] then fallback ();
         match p.Plan.body with
         | Plan.Plan_select sp ->
-            run_query ?pool db (task_of_select_plan db sp) ~order_by:p.Plan.order_by
+            run_query db (task_of_select_plan db sp) ~order_by:p.Plan.order_by
               ~limit:p.Plan.limit ~offset:p.Plan.offset
         | _ -> fallback ())
 
-let plan_select ?pool db (sp : Plan.select_plan) : result_set option =
+let plan_select db (sp : Plan.select_plan) : result_set option =
   if not !enabled then None
-  else guard (fun () -> run_body ?pool db (task_of_select_plan db sp))
+  else guard (fun () -> run_body db (task_of_select_plan db sp))

@@ -21,16 +21,16 @@ type result_set = { chead : header array; crows : Value.t array Row_vec.t }
 val enabled : bool ref
 (** Master switch, on by default; the differential suites toggle it. *)
 
-val query : ?pool:Task_pool.t -> Database.t -> Ast.query -> result_set option
+val query : Database.t -> Ast.query -> result_set option
 (** Full CTE-free [SELECT] (no grouping) including ORDER BY/LIMIT/OFFSET. *)
 
-val select : ?pool:Task_pool.t -> Database.t -> Ast.select -> result_set option
+val select : Database.t -> Ast.select -> result_set option
 (** One select body, grouped or not (the executor's sort/slice tail runs on
     top, including its hidden-order-key re-evaluation). *)
 
-val plan_query : ?pool:Task_pool.t -> Database.t -> Plan.t -> result_set option
+val plan_query : Database.t -> Plan.t -> result_set option
 (** Plan-side {!query}: scan chains with pushed-down filters and
     build-on-right inner hash joins. *)
 
-val plan_select : ?pool:Task_pool.t -> Database.t -> Plan.select_plan -> result_set option
+val plan_select : Database.t -> Plan.select_plan -> result_set option
 (** Plan-side {!select}. *)

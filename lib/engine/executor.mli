@@ -37,18 +37,13 @@ val columnar_enabled : bool ref
     (enforced by the 3-way differential suite), so toggling it never
     changes a DP release. *)
 
-val run : ?pool:Task_pool.t -> Database.t -> Ast.query -> result_set
-(** [?pool] enables the morsel-parallel operators ({!Parallel}): scan,
-    filter and projection over row morsels, partitioned parallel hash-join
-    builds with parallel probes, and parallel GROUP BY. Results are
-    bit-identical to a sequential run — every parallel operator preserves
-    row order and evaluation order (enforced by the differential suite);
-    inputs below {!Parallel.threshold} rows run sequentially.
+val run : Database.t -> Ast.query -> result_set
+(** Execute a query sequentially on the calling thread.
     @raise Error (and {!Eval.Error} / {!Aggregate.Error}) on semantic
     errors: unknown tables or columns, arity mismatches, aggregates outside
     grouping. *)
 
-val run_plan : ?pool:Task_pool.t -> Database.t -> Plan.t -> result_set
+val run_plan : Database.t -> Plan.t -> result_set
 (** Execute a logical plan through the same compiled operators as {!run}.
     [run_plan (Plan.of_query q) ≡ run q] bit-for-bit; optimized plans
     ({!Optimizer.rewrite}) may permute row order (hash-join build-side
@@ -56,7 +51,7 @@ val run_plan : ?pool:Task_pool.t -> Database.t -> Plan.t -> result_set
     compare as multisets. *)
 
 val run_plan_analyzed :
-  ?pool:Task_pool.t -> Database.t -> Plan.t -> result_set * Plan.Analyze.trace
+  Database.t -> Plan.t -> result_set * Plan.Analyze.trace
 (** {!run_plan} with EXPLAIN ANALYZE collection: every plan operator records
     its output cardinality and inclusive elapsed time into the returned
     trace (paths follow the {!Plan.Analyze} scheme, so
@@ -64,13 +59,12 @@ val run_plan_analyzed :
     identical to [run_plan]'s — tracing only observes. *)
 
 val run_optimized :
-  ?pool:Task_pool.t -> ?metrics:Metrics.t -> Database.t -> Ast.query -> result_set
+  ?metrics:Metrics.t -> Database.t -> Ast.query -> result_set
 (** [run_plan db (Optimizer.plan ?metrics q)] — same result multiset as
     [run db q]; row order may differ when the optimizer reorders joins or
     swaps hash-join build sides. *)
 
 val explain_analyze :
-  ?pool:Task_pool.t ->
   ?optimize:bool ->
   ?metrics:Metrics.t ->
   ?show_rows:bool ->
@@ -85,7 +79,6 @@ val explain_analyze :
     but EXPLAIN ANALYZE surfaces normally discard it. *)
 
 val run_sql :
-  ?pool:Task_pool.t ->
   ?optimize:bool ->
   ?metrics:Metrics.t ->
   Database.t ->
@@ -95,7 +88,6 @@ val run_sql :
     (default false) routes through {!run_optimized}. *)
 
 val run_sql_exn :
-  ?pool:Task_pool.t ->
   ?optimize:bool ->
   ?metrics:Metrics.t ->
   Database.t ->

@@ -2,13 +2,6 @@
     ([Int 2] = [Float 2.]); shared by joins, GROUP BY, DISTINCT and set
     operations. *)
 
-module Key : sig
-  type t = Value.t array
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-end
-
 include Hashtbl.S with type key = Value.t array
 
 module Scalar : Hashtbl.S with type key = Value.t

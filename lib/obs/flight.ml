@@ -1,9 +1,7 @@
-(* A fixed-size flight recorder for finished requests. Writers are striped
-   across 8 independent rings (stripe = seq mod 8), so concurrent domains
-   rarely contend on one mutex; a global atomic sequence number gives every
-   record a total order that snapshots use to merge the stripes newest-first.
-   The memory bound is the point: capacity records, each holding the request
-   line, outcome, budget charge and (when telemetry is on) the span tree. *)
+(* A fixed-size flight recorder for finished requests: one mutex-guarded ring
+   of exactly [capacity] slots, overwritten oldest-first. The memory bound is
+   the point: capacity records, each holding the request line, outcome,
+   budget charge and (when telemetry is on) the span tree. *)
 
 type record = {
   seq : int;
@@ -19,55 +17,35 @@ type record = {
   trace : Span.view option;
 }
 
-type stripe = {
+type t = {
   lock : Mutex.t;
   ring : record option array;
-  mutable cursor : int; (* next write slot *)
+  mutable seq : int; (* records ever written; the next write lands at [seq mod capacity] *)
 }
-
-let stripes = 8
-
-type t = { seq : int Atomic.t; rings : stripe array; capacity : int }
 
 let create ?(capacity = 256) () =
   if capacity < 1 then invalid_arg "Flight.create: capacity must be >= 1";
-  let per = (capacity + stripes - 1) / stripes in
-  {
-    seq = Atomic.make 0;
-    capacity;
-    rings =
-      Array.init stripes (fun _ ->
-          { lock = Mutex.create (); ring = Array.make per None; cursor = 0 });
-  }
+  { lock = Mutex.create (); ring = Array.make capacity None; seq = 0 }
 
-let capacity t = t.capacity
+let capacity t = Array.length t.ring
 
 let record t ~ts_ns ?id ~analyst ~sql ?key ~outcome ?(epsilon = 0.0) ?(delta = 0.0)
     ~duration_ns ?trace () =
-  let seq = Atomic.fetch_and_add t.seq 1 in
-  let r =
-    { seq; ts_ns; id; analyst; sql; key; outcome; epsilon; delta; duration_ns; trace }
-  in
-  let s = t.rings.(seq mod stripes) in
-  Mutex.lock s.lock;
-  s.ring.(s.cursor) <- Some r;
-  s.cursor <- (s.cursor + 1) mod Array.length s.ring;
-  Mutex.unlock s.lock
+  Mutex.protect t.lock (fun () ->
+      let seq = t.seq in
+      t.ring.(seq mod Array.length t.ring) <-
+        Some { seq; ts_ns; id; analyst; sql; key; outcome; epsilon; delta; duration_ns; trace };
+      t.seq <- seq + 1)
 
-let recorded t = Atomic.get t.seq
+let recorded t = Mutex.protect t.lock (fun () -> t.seq)
 
 let snapshot ?limit t =
-  let all = ref [] in
-  Array.iter
-    (fun s ->
-      Mutex.lock s.lock;
-      Array.iter (function Some r -> all := r :: !all | None -> ()) s.ring;
-      Mutex.unlock s.lock)
-    t.rings;
-  let sorted = List.sort (fun (a : record) (b : record) -> compare b.seq a.seq) !all in
-  match limit with
-  | Some n when n >= 0 && List.length sorted > n -> List.filteri (fun i _ -> i < n) sorted
-  | _ -> sorted
+  Mutex.protect t.lock (fun () ->
+      let cap = Array.length t.ring in
+      let retained = min t.seq cap in
+      let n = match limit with Some l when l >= 0 -> min l retained | _ -> retained in
+      (* newest first: walk back from the last written slot *)
+      List.init n (fun i -> Option.get t.ring.((t.seq - 1 - i) mod cap)))
 
 (* --- JSON ---------------------------------------------------------------------- *)
 
@@ -98,7 +76,8 @@ let to_json ?limit t =
   let rs = snapshot ?limit t in
   let b = Buffer.create 4096 in
   Buffer.add_string b
-    (Printf.sprintf "{\"capacity\":%d,\"recorded\":%d,\"flights\":[" t.capacity (recorded t));
+    (Printf.sprintf "{\"capacity\":%d,\"recorded\":%d,\"flights\":[" (capacity t)
+       (recorded t));
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char b ',';

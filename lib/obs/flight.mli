@@ -2,9 +2,8 @@
     span trees, analyst, outcome and budget charge, so a slow or anomalous
     request from minutes ago is reconstructable without grepping audit logs.
 
-    Writes are lock-striped across 8 independent rings keyed on a global
-    atomic sequence number; snapshots merge the stripes newest-first. Memory
-    is bounded by [capacity] records.
+    Writes go to one mutex-guarded ring of exactly [capacity] slots, so at
+    most [capacity] records are ever retained.
 
     Privacy note: records carry raw SQL and analyst names — operator-only
     loopback scrape, never the unauthenticated wire (see DESIGN.md
@@ -45,8 +44,8 @@ val record :
   ?trace:Span.view ->
   unit ->
   unit
-(** Append one finished request; the oldest record in the stripe is
-    overwritten once the ring is full. Thread-safe. *)
+(** Append one finished request; the oldest record is overwritten once the
+    ring is full. Thread-safe. *)
 
 val recorded : t -> int
 (** Total records ever written (>= retained). *)

@@ -1,23 +1,19 @@
-(* Hot-path updates are striped [Atomic]s — one slot per (domain mod
-   stripes) — so concurrent domains rarely contend on a cache line; floats
-   go through a CAS loop (Atomic on a boxed float compares the box read, so
-   a lost race just retries). Registration and scraping are rare and take
-   the registry mutex. *)
-
-let stripes = 8
-let stripe () = (Domain.self () :> int) land (stripes - 1)
+(* Hot-path updates are single [Atomic]s; floats go through a CAS loop
+   (Atomic on a boxed float compares the box read, so a lost race just
+   retries). Registration and scraping are rare and take the registry
+   mutex. *)
 
 let rec atomic_add_float a v =
   let seen = Atomic.get a in
   if not (Atomic.compare_and_set a seen (seen +. v)) then atomic_add_float a v
 
 module Counter = struct
-  type t = float Atomic.t array
+  type t = float Atomic.t
 
-  let make () = Array.init stripes (fun _ -> Atomic.make 0.0)
-  let inc t v = if v > 0.0 then atomic_add_float t.(stripe ()) v
+  let make () = Atomic.make 0.0
+  let inc t v = if v > 0.0 then atomic_add_float t v
   let incr t = inc t 1.0
-  let value t = Array.fold_left (fun acc a -> acc +. Atomic.get a) 0.0 t
+  let value t = Atomic.get t
 end
 
 module Gauge = struct
@@ -30,16 +26,17 @@ module Gauge = struct
 end
 
 module Histogram = struct
-  type lane = { counts : int Atomic.t array; (* one per bound + overflow *) sum : float Atomic.t }
-  type t = { upper : float array; lanes : lane array }
+  type t = {
+    upper : float array;
+    counts : int Atomic.t array; (* one per bound + overflow *)
+    sum : float Atomic.t;
+  }
 
   let make upper =
-    let nb = Array.length upper + 1 in
     {
       upper;
-      lanes =
-        Array.init stripes (fun _ ->
-            { counts = Array.init nb (fun _ -> Atomic.make 0); sum = Atomic.make 0.0 });
+      counts = Array.init (Array.length upper + 1) (fun _ -> Atomic.make 0);
+      sum = Atomic.make 0.0;
     }
 
   (* first bucket whose upper bound admits [v]; the overflow slot otherwise *)
@@ -53,19 +50,10 @@ module Histogram = struct
     !lo
 
   let observe t v =
-    let lane = t.lanes.(stripe ()) in
-    ignore (Atomic.fetch_and_add lane.counts.(bucket_of t v) 1);
-    atomic_add_float lane.sum v
+    ignore (Atomic.fetch_and_add t.counts.(bucket_of t v) 1);
+    atomic_add_float t.sum v
 
-  let totals t =
-    let nb = Array.length t.upper + 1 in
-    let counts = Array.make nb 0 and sum = ref 0.0 in
-    Array.iter
-      (fun lane ->
-        Array.iteri (fun i a -> counts.(i) <- counts.(i) + Atomic.get a) lane.counts;
-        sum := !sum +. Atomic.get lane.sum)
-      t.lanes;
-    (counts, !sum)
+  let totals t = (Array.map Atomic.get t.counts, Atomic.get t.sum)
 
   let count t = fst (totals t) |> Array.fold_left ( + ) 0
   let sum t = snd (totals t)

@@ -1,17 +1,17 @@
 (** A metrics registry: named counters, gauges and log-bucketed histograms,
-    safe to update from any domain or systhread (updates are striped atomics
-    on the hot path; registration and scraping take a mutex), exported as
+    safe to update from any domain or systhread (updates are atomics on the
+    hot path; registration and scraping take a mutex), exported as
     Prometheus text exposition and as JSON.
 
     Instruments with the same name and different [labels] land in one
     family (one [# TYPE] block); the kind must agree. Scrape-time values —
-    remaining budgets, cache sizes, pool counters owned elsewhere — register
+    remaining budgets, cache sizes, counters owned elsewhere — register
     a {!collect} callback instead of an instrument.
 
     Privacy note for DP deployments: nothing in this module looks at private
     data, but callers choose what they register. The service registers only
     operational series (request counts, latencies, budget accounting, cache
-    and pool counters) — never query results or private-table row counts;
+    counters) — never query results or private-table row counts;
     see DESIGN.md "Telemetry and privacy". *)
 
 type t

@@ -6,8 +6,7 @@
     Threading is by parent handle: [enter parent name] starts a child;
     {!timed} wraps a stage and hands the callback the child so it can nest
     further. All spans of one tree share the root's mutex, so a tree may be
-    grown from the pool domains running an operator as well as the service
-    thread that owns the query. Passing [None] everywhere makes the whole
+    grown from any thread. Passing [None] everywhere makes the whole
     facility a no-op (telemetry off). *)
 
 type t

@@ -73,7 +73,7 @@ let default_config =
     flight_capacity = 256;
   }
 
-(* The write-side instruments; scrape-time values (budgets, cache, pool)
+(* The write-side instruments; scrape-time values (budgets, cache)
    register collect callbacks instead — see [register_collectors]. *)
 type instruments = {
   m_queries : Registry.Counter.t;
@@ -108,10 +108,6 @@ type t = {
   limiter : Rate_limit.t option;  (* Some iff [config.rate_limit_qps] *)
   audit : Audit.t;
   rng : Rng.t;
-  (* one shared domain pool for every session's query execution; queries are
-     serialized onto it by the pool itself (a busy pool runs the submission
-     inline), so concurrent sessions never block each other *)
-  pool : Flex.Task_pool.t option;
   registry : Registry.t option;  (* Some iff [config.telemetry] *)
   instruments : instruments option;
   (* statement stats and the flight recorder key on canonical SQL and carry
@@ -179,7 +175,7 @@ let make_instruments reg =
 let uptime_seconds t = Float.max 1e-9 ((Clock.now_ns () -. t.start_ns) /. 1e9)
 
 (* Everything registered here is operational: request counts, budget
-   accounting the analysts already see in their responses, cache and pool
+   accounting the analysts already see in their responses, cache
    counters. No query results and no private-table row counts. *)
 let register_collectors t reg =
   Registry.collect reg ~help:"Seconds since the server was created" ~kind:`Gauge
@@ -268,40 +264,9 @@ let register_collectors t reg =
           ([ ("reason", "stale_epoch") ], float_of_int s.stale_dropped);
         ]));
   Registry.collect reg ~help:"Audit events logged" ~kind:`Counter "flex_audit_events_total"
-    (fun () -> [ ([], float_of_int (Audit.count t.audit)) ]);
-  Registry.collect reg ~help:"Domains in the shared execution pool" ~kind:`Gauge
-    "flex_pool_domains" (fun () ->
-      [ ([], float_of_int (match t.pool with Some p -> Flex.Task_pool.domains p | None -> 0)) ]);
-  Registry.collect reg
-    ~help:"Pool chunks claimed, by who ran them (process-global)" ~kind:`Counter
-    "flex_pool_chunks_total" (fun () ->
-      match t.pool with
-      | None -> []
-      | Some p ->
-        let s = Flex.Task_pool.stats p in
-        [
-          ([ ("by", "caller") ], float_of_int s.caller_chunks);
-          ([ ("by", "worker") ], float_of_int s.worker_chunks);
-        ]);
-  Registry.collect reg ~help:"Pool jobs dispatched" ~kind:`Counter "flex_pool_jobs_total"
-    (fun () ->
-      match t.pool with
-      | None -> []
-      | Some p ->
-        let s = Flex.Task_pool.stats p in
-        [
-          ([ ("mode", "parallel") ], float_of_int s.jobs);
-          ([ ("mode", "inline") ], float_of_int s.inline_jobs);
-        ]);
-  Registry.collect reg ~help:"Engine operator dispatches (process-global)" ~kind:`Counter
-    "flex_engine_ops_total" (fun () ->
-      let par, seq = Flex_engine.Parallel.ops_counts () in
-      [
-        ([ ("mode", "parallel") ], float_of_int par);
-        ([ ("mode", "sequential") ], float_of_int seq);
-      ])
+    (fun () -> [ ([], float_of_int (Audit.count t.audit)) ])
 
-let create ?(audit = Audit.null ()) ?(config = default_config) ?cache_capacity ?pool ?registry
+let create ?(audit = Audit.null ()) ?(config = default_config) ?cache_capacity ?registry
     ?release_store ~db ~metrics ~ledger ~rng () =
   let registry =
     if config.telemetry then
@@ -327,7 +292,6 @@ let create ?(audit = Audit.null ()) ?(config = default_config) ?cache_capacity ?
         Option.map (fun qps -> Rate_limit.create ~qps ()) config.rate_limit_qps;
       audit;
       rng;
-      pool;
       registry;
       instruments = Option.map make_instruments registry;
       statements =
@@ -585,7 +549,7 @@ let analyzed_plan t session ~sql ast =
         Wire.Rejected { bucket = bucket_string reason; reason = Errors.to_string reason }
       in
       match
-        Flex_engine.Executor.explain_analyze ?pool:t.pool ~optimize:t.config.optimize_queries
+        Flex_engine.Executor.explain_analyze ~optimize:t.config.optimize_queries
           ~metrics:t.metrics ~show_rows:true t.db ast
       with
       | plan, _ ->
@@ -773,7 +737,7 @@ let handle_query t session ~sql ~epsilon ~delta ~id =
           | Ok analysis -> (
             let column_releases = Flex.smooth_columns ?span:root ~options analysis in
             match
-              Flex.execute ?span:root ?pool:t.pool ~optimize:t.config.optimize_queries
+              Flex.execute ?span:root ~optimize:t.config.optimize_queries
                 ~metrics ~db exec_ast
             with
             | Error reason -> reject t ~root ~base ~key:canon reason

@@ -103,7 +103,6 @@ val create :
   ?audit:Audit.t ->
   ?config:config ->
   ?cache_capacity:int ->
-  ?pool:Flex_engine.Task_pool.t ->
   ?registry:Flex_obs.Registry.t ->
   ?release_store:Release_store.t ->
   db:Database.t ->
@@ -112,10 +111,7 @@ val create :
   rng:Rng.t ->
   unit ->
   t
-(** [pool] is one shared domain pool for every session's query execution
-    (stage 3); sessions whose query arrives while the pool is busy simply
-    execute sequentially, so concurrent sessions never block each other.
-    [registry] lets several servers (or the embedding process) share one
+(** [registry] lets several servers (or the embedding process) share one
     metrics registry; a fresh one is created otherwise. Ignored when
     [config.telemetry] is false. [release_store] supplies a (typically
     journaled, see {!Release_store.open_}) store of past releases; with

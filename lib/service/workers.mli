@@ -1,10 +1,10 @@
 (** A bounded pool of worker threads for request execution.
 
-    This is the service-side complement of {!Flex_engine.Task_pool}: that
-    pool data-parallelizes {e one} query across domains, this one runs
-    {e many} independent requests concurrently on systhreads (requests
-    block on the ledger / audit / release-store locks and on I/O, which
-    systhreads handle fine under the runtime lock).
+    This is where the service's concurrency lives: each query executes
+    sequentially, and the pool runs {e many} independent requests
+    concurrently on systhreads (requests block on the ledger / audit /
+    release-store locks and on I/O, which systhreads handle fine under the
+    runtime lock).
 
     The queue is the admission-control boundary: {!try_submit} refuses
     instead of blocking when [capacity] jobs are already waiting, so the

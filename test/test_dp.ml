@@ -387,6 +387,24 @@ let rng_tests =
         Alcotest.(check bool) "same multiset" true
           (List.sort compare (Array.to_list b) = Array.to_list a);
         Alcotest.(check bool) "actually moved" true (a <> b));
+    Alcotest.test_case "split is reproducible from the seed" `Quick (fun () ->
+        let children seed =
+          let p = Rng.create ~seed () in
+          List.init 3 (fun _ ->
+              let c = Rng.split p in
+              List.init 20 (fun _ -> Rng.int c 1_000_000))
+        in
+        Alcotest.(check (list (list int))) "same seed, same children" (children 42)
+          (children 42);
+        Alcotest.(check bool) "another seed, other children" true (children 42 <> children 43));
+    Alcotest.test_case "successive splits differ and advance the parent" `Quick (fun () ->
+        let draws r = List.init 20 (fun _ -> Rng.int r 1_000_000) in
+        let p = Rng.create ~seed:8 () in
+        let c1 = draws (Rng.split p) in
+        let c2 = draws (Rng.split p) in
+        Alcotest.(check bool) "siblings differ" true (c1 <> c2);
+        let untouched = draws (Rng.create ~seed:8 ()) in
+        Alcotest.(check bool) "the parent moved on" true (draws p <> untouched));
   ]
 
 let suites = suites @ [ ("rng", rng_tests) ]

@@ -737,6 +737,35 @@ let null_mixed_queries =
     "SELECT tag, m FROM facts ORDER BY tag, m LIMIT 12";
   ]
 
+(* Top-K fixture with heavy ties (k has 5 distinct values plus NULLs) so the
+   size-k heap's index tiebreak is actually exercised, and stability without
+   an explicit tiebreak column is observable. *)
+let topk_fixture () =
+  let rows =
+    List.init 100 (fun i ->
+        [|
+          v_int i;
+          (if i mod 7 = 0 then Value.Null else v_int (i mod 5));
+          v_float (float_of_int (i mod 4) /. 2.0);
+        |])
+  in
+  Database.of_tables [ Table.create ~name:"s" ~columns:[ "id"; "k"; "f" ] rows ]
+
+let topk_queries =
+  [
+    "SELECT id, k FROM s ORDER BY k LIMIT 10";
+    "SELECT id, k FROM s ORDER BY k DESC LIMIT 10";
+    (* ties with no tiebreak column: selection must stay stable *)
+    "SELECT id FROM s ORDER BY k LIMIT 25";
+    "SELECT id, k FROM s ORDER BY k, id DESC LIMIT 10 OFFSET 5";
+    "SELECT id, f, k FROM s ORDER BY f DESC, k LIMIT 13";
+    (* LIMIT at or past the input size: the full-sort path *)
+    "SELECT id FROM s ORDER BY k LIMIT 200";
+    "SELECT id FROM s ORDER BY k LIMIT 0";
+    "SELECT id FROM s ORDER BY k LIMIT 10 OFFSET 95";
+    "SELECT id FROM s ORDER BY k LIMIT 10 OFFSET 200";
+  ]
+
 let columnar_differential_tests =
   [
     Alcotest.test_case "edge cases agree 3-way with columnar" `Quick (fun () ->
@@ -756,6 +785,9 @@ let columnar_differential_tests =
     Alcotest.test_case "NULL-heavy and mixed-type traps agree 3-way" `Quick (fun () ->
         let db = null_mixed_fixture () in
         List.iter (check_columnar_3way db) null_mixed_queries);
+    Alcotest.test_case "top-K ties and NULL ordering agree 3-way" `Quick (fun () ->
+        let db = topk_fixture () in
+        List.iter (check_columnar_3way db) topk_queries);
   ]
 
 let suites = suites @ [ ("columnar-differential", columnar_differential_tests) ]
@@ -858,3 +890,220 @@ let edge_expectation_tests =
   ]
 
 let suites = suites @ [ ("executor-edge-cases", edge_expectation_tests) ]
+
+(* --- aggregate functions over one group's values -------------------------- *)
+
+module Aggregate = Flex_engine.Aggregate
+module Ast = Flex_sql.Ast
+
+let value_t = Alcotest.testable Value.pp cell_equal
+
+let agg ?(distinct = false) ?(star = false) func values =
+  Aggregate.compute func ~distinct ~star ~nrows:(List.length values) values
+
+let all_agg_funcs =
+  [ Ast.Count; Ast.Sum; Ast.Avg; Ast.Min; Ast.Max; Ast.Median; Ast.Stddev ]
+
+let aggregate_tests =
+  [
+    Alcotest.test_case "NULLs are skipped; COUNT(*) counts every row" `Quick (fun () ->
+        let vs = [ v_int 3; Value.Null; v_int 1; Value.Null; v_int 2 ] in
+        let check name func expected = Alcotest.check value_t name expected (agg func vs) in
+        check "COUNT" Ast.Count (v_int 3);
+        Alcotest.check value_t "COUNT(*)" (v_int 5) (agg ~star:true Ast.Count vs);
+        check "SUM" Ast.Sum (v_int 6);
+        check "AVG" Ast.Avg (v_float 2.0);
+        check "MIN" Ast.Min (v_int 1);
+        check "MAX" Ast.Max (v_int 3);
+        check "MEDIAN" Ast.Median (v_float 2.0);
+        check "STDDEV" Ast.Stddev (v_float 1.0));
+    Alcotest.test_case "empty and all-NULL groups: counts are 0, the rest NULL" `Quick
+      (fun () ->
+        List.iter
+          (fun (label, vs) ->
+            List.iter
+              (fun func ->
+                let expected = if func = Ast.Count then v_int 0 else Value.Null in
+                Alcotest.check value_t
+                  (label ^ " " ^ Ast.agg_func_name func)
+                  expected (agg func vs))
+              all_agg_funcs;
+            Alcotest.check value_t (label ^ " COUNT(*)") (v_int (List.length vs))
+              (agg ~star:true Ast.Count vs))
+          [ ("empty", []); ("all NULL", [ Value.Null; Value.Null ]) ];
+        (* a sample standard deviation needs two values *)
+        Alcotest.check value_t "STDDEV of one value" Value.Null (agg Ast.Stddev [ v_int 4 ]));
+    Alcotest.test_case "SUM is exact on integers and widens on a float" `Quick (fun () ->
+        let big = max_int / 2 in
+        Alcotest.check value_t "integer SUM is exact" (v_int (big + 1))
+          (agg Ast.Sum [ v_int big; v_int 1 ]);
+        Alcotest.check value_t "one float makes a float SUM" (v_float 1.5)
+          (agg Ast.Sum [ v_int 1; Value.Null; v_float 0.5 ]);
+        Alcotest.check value_t "MIN compares across Int and Float" (v_float 1.5)
+          (agg Ast.Min [ v_int 2; v_float 1.5 ]);
+        Alcotest.check value_t "MIN/MAX order strings" (v_str "b")
+          (agg Ast.Max [ v_str "a"; v_str "b"; Value.Null ]);
+        List.iter
+          (fun func ->
+            match agg func [ v_int 1; v_str "x" ] with
+            | exception Aggregate.Error _ -> ()
+            | v ->
+              Alcotest.failf "%s over a string returned %s" (Ast.agg_func_name func)
+                (Value.to_string v))
+          [ Ast.Sum; Ast.Avg; Ast.Median; Ast.Stddev ]);
+    Alcotest.test_case "DISTINCT dedups before COUNT, SUM and AVG" `Quick (fun () ->
+        let vs = [ v_int 1; v_int 1; v_int 2; Value.Null; v_int 2; v_int 3 ] in
+        Alcotest.check value_t "COUNT" (v_int 5) (agg Ast.Count vs);
+        Alcotest.check value_t "COUNT DISTINCT" (v_int 3) (agg ~distinct:true Ast.Count vs);
+        Alcotest.check value_t "SUM DISTINCT" (v_int 6) (agg ~distinct:true Ast.Sum vs);
+        Alcotest.check value_t "AVG DISTINCT" (v_float 2.0) (agg ~distinct:true Ast.Avg vs);
+        Alcotest.check value_t "MAX ignores DISTINCT" (v_int 3) (agg ~distinct:true Ast.Max vs));
+    Alcotest.test_case "compute_iter agrees with compute, errors included" `Quick (fun () ->
+        let inputs =
+          [
+            [];
+            [ Value.Null ];
+            List.init 9 (fun i -> v_int ((i * 7) mod 5));
+            [ v_float 2.5; Value.Null; v_float (-1.0); v_float 2.5 ];
+            [ v_int 4; v_float 0.25; Value.Null; v_int 4; v_float nan ];
+            [ v_str "b"; v_str "a"; Value.Null; v_str "b" ];
+          ]
+        in
+        let outcome f = match f () with v -> Ok v | exception Aggregate.Error e -> Error e in
+        List.iteri
+          (fun n vs ->
+            List.iter
+              (fun (func, star) ->
+                List.iter
+                  (fun distinct ->
+                    let label =
+                      Fmt.str "input %d %s%s%s" n (Ast.agg_func_name func)
+                        (if distinct then " DISTINCT" else "")
+                        (if star then " (*)" else "")
+                    in
+                    let nrows = List.length vs in
+                    let whole =
+                      outcome (fun () -> Aggregate.compute func ~distinct ~star ~nrows vs)
+                    in
+                    let streamed =
+                      outcome (fun () ->
+                          Aggregate.compute_iter func ~distinct ~star ~nrows
+                            ~iter:(fun f -> List.iter f vs))
+                    in
+                    match (whole, streamed) with
+                    | Ok a, Ok b -> Alcotest.check value_t label a b
+                    | Error _, Error _ -> ()
+                    | Ok _, Error e -> Alcotest.failf "%s: only compute_iter failed: %s" label e
+                    | Error e, Ok _ -> Alcotest.failf "%s: only compute failed: %s" label e)
+                  [ false; true ])
+              ((Ast.Count, true) :: List.map (fun f -> (f, false)) all_agg_funcs))
+          inputs);
+  ]
+
+let suites = suites @ [ ("aggregate", aggregate_tests) ]
+
+(* --- one sequential executor shared by concurrent requests ----------------- *)
+
+(* The service runs many requests at once on worker threads over one shared
+   database; each query executes sequentially. Whatever the engine caches
+   across queries (column chunks, dictionaries) must leave every answer
+   identical to a lone sequential run, row order included. *)
+
+let same_result a b =
+  match (a, b) with
+  | Error x, Error y -> x = y
+  | Ok (x : Executor.result_set), Ok (y : Executor.result_set) ->
+    x.columns = y.columns
+    && List.length x.rows = List.length y.rows
+    && List.for_all2
+         (fun ra rb ->
+           Array.length ra = Array.length rb && Array.for_all2 cell_equal ra rb)
+         x.rows y.rows
+  | _ -> false
+
+let uber_workload ~seed ~count =
+  let rng = Rng.create ~seed () in
+  let db, _metrics = Uber.generate ~sizes:Uber.small_sizes rng in
+  let queries = Qgen.generate rng ~count ~n_cities:12 ~n_drivers:120 ~n_users:200 in
+  (db, List.concat_map (fun (q : Qgen.t) -> [ q.sql; q.population_sql ]) queries)
+
+(* Run [sqls] on [threads] systhreads at once, every thread the whole list in
+   its own rotation, and return the SQL of each answer that differs from the
+   sequential one. *)
+let concurrent_mismatches ~threads db sqls =
+  let expected = List.map (fun sql -> (sql, Executor.run_sql db sql)) sqls in
+  let n = List.length expected in
+  let arr = Array.of_list expected in
+  let bad = Array.make threads [] in
+  let work t =
+    for i = 0 to n - 1 do
+      let sql, want = arr.((i + (t * n / threads)) mod n) in
+      if not (same_result want (Executor.run_sql db sql)) then bad.(t) <- sql :: bad.(t)
+    done
+  in
+  let ts = List.init threads (fun t -> Thread.create work t) in
+  List.iter Thread.join ts;
+  List.concat (Array.to_list bad)
+
+let big_sort_fixture () =
+  let rows =
+    List.init 5_000 (fun i ->
+        [|
+          v_int i;
+          (if i mod 11 = 0 then Value.Null else v_int (i * 31 mod 37));
+          v_float (float_of_int (i mod 13) /. 4.0);
+        |])
+  in
+  Database.of_tables [ Table.create ~name:"big" ~columns:[ "id"; "k"; "f" ] rows ]
+
+let shared_engine_tests =
+  let check_concurrent columnar =
+    with_columnar columnar (fun () ->
+        let db, sqls = uber_workload ~seed:13 ~count:20 in
+        match concurrent_mismatches ~threads:4 db sqls with
+        | [] -> ()
+        | sql :: _ as bad ->
+          Alcotest.failf "%d concurrent answers differ, e.g. %s" (List.length bad) sql)
+  in
+  [
+    Alcotest.test_case "threads sharing a database agree with a lone run (row)" `Quick
+      (fun () -> check_concurrent false);
+    Alcotest.test_case "threads sharing a database agree with a lone run (columnar)" `Quick
+      (fun () -> check_concurrent true);
+    Alcotest.test_case "repeat runs return identical rows in identical order" `Quick
+      (fun () ->
+        let db, sqls = uber_workload ~seed:17 ~count:15 in
+        let db', _ = uber_workload ~seed:17 ~count:15 in
+        List.iter
+          (fun columnar ->
+            with_columnar columnar (fun () ->
+                List.iter
+                  (fun sql ->
+                    let first = Executor.run_sql db sql in
+                    if not (same_result first (Executor.run_sql db sql)) then
+                      Alcotest.failf "second run differs (%s)" sql;
+                    if not (same_result first (Executor.run_sql db' sql)) then
+                      Alcotest.failf "regenerated database answers differently (%s)" sql)
+                  sqls))
+          [ false; true ]);
+    Alcotest.test_case "TPC-H queries agree 3-way with columnar" `Quick (fun () ->
+        let db, _metrics = Flex_workload.Tpch.generate ~scale:0.002 (Rng.create ~seed:41 ()) in
+        List.iter
+          (fun (q : Flex_workload.Tpch.query) ->
+            check_columnar_3way db q.sql;
+            check_columnar_3way db (Flex_workload.Tpch.population_sql q.name))
+          Flex_workload.Tpch.queries);
+    Alcotest.test_case "top-K over 5,000 rows agrees 3-way with columnar" `Quick (fun () ->
+        let db = big_sort_fixture () in
+        List.iter (check_columnar_3way db)
+          [
+            "SELECT id, k FROM big ORDER BY k LIMIT 10";
+            "SELECT id, k FROM big ORDER BY k DESC, id LIMIT 50";
+            "SELECT id FROM big ORDER BY f, k DESC LIMIT 100 OFFSET 2500";
+            "SELECT id FROM big ORDER BY k LIMIT 10 OFFSET 4990";
+            "SELECT k, COUNT(*) FROM big GROUP BY k ORDER BY COUNT(*) DESC, k LIMIT 5";
+            "SELECT id FROM big WHERE k > 20 ORDER BY f DESC LIMIT 7";
+          ]);
+  ]
+
+let suites = suites @ [ ("shared-engine", shared_engine_tests) ]

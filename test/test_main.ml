@@ -6,4 +6,4 @@ let () =
    @ Test_workload.suites @ Test_service.suites @ Test_reactor.suites
    @ Test_factor.suites
    @ Test_release_store.suites
-   @ Test_parallel.suites @ Test_optimizer.suites @ Test_obs.suites)
+   @ Test_optimizer.suites @ Test_obs.suites)

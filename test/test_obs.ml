@@ -22,8 +22,6 @@ module Executor = Flex_engine.Executor
 module Reference = Flex_engine.Reference
 module Plan = Flex_engine.Plan
 module Optimizer = Flex_engine.Optimizer
-module Task_pool = Flex_engine.Task_pool
-module Parallel = Flex_engine.Parallel
 module Rng = Flex_dp.Rng
 module Ledger = Flex_dp.Ledger
 module Uber = Flex_workload.Uber
@@ -147,6 +145,29 @@ let registry_tests =
             in
             Alcotest.(check (list string)) "families" [ "t_total"; "t_hist" ] names
           | _ -> Alcotest.fail "missing families array"));
+    Alcotest.test_case "fractional and gauge updates from 4 domains are exact" `Quick
+      (fun () ->
+        let reg = Registry.create () in
+        let c = Registry.counter reg "t_total" in
+        let g = Registry.gauge reg "t_gauge" in
+        let h = Registry.histogram reg "t_hist" in
+        let per_domain = 10_000 in
+        (* binary fractions: every partial sum is exact, so any lost CAS
+           retry shows up as a wrong total *)
+        let work () =
+          for _ = 1 to per_domain do
+            Registry.Counter.inc c 0.25;
+            Registry.Gauge.add g 0.5;
+            Registry.Gauge.add g (-0.25);
+            Registry.Histogram.observe h 0.125
+          done
+        in
+        let domains = List.init 4 (fun _ -> Domain.spawn work) in
+        List.iter Domain.join domains;
+        let expect share = share *. float_of_int (4 * per_domain) in
+        Alcotest.(check (float 0.)) "counter" (expect 0.25) (Registry.Counter.value c);
+        Alcotest.(check (float 0.)) "gauge" (expect 0.25) (Registry.Gauge.value g);
+        Alcotest.(check (float 0.)) "histogram sum" (expect 0.125) (Registry.Histogram.sum h));
   ]
 
 (* --- clock and spans ------------------------------------------------------------ *)
@@ -367,35 +388,6 @@ let explain_analyze_tests =
           (Astring.String.is_infix ~affix:"rows=?" gated);
         Alcotest.(check string) "identical once rows are neutralized"
           (neutralize_rows shown) (neutralize_rows gated));
-  ]
-
-(* --- engine: pool and parallel counters ------------------------------------------ *)
-
-let pool_counter_tests =
-  [
-    Alcotest.test_case "task pool stats count jobs and claimed chunks" `Quick (fun () ->
-        let pool = Task_pool.create ~domains:2 in
-        Fun.protect
-          ~finally:(fun () -> Task_pool.shutdown pool)
-          (fun () ->
-            let b = Task_pool.stats pool in
-            Task_pool.run pool ~chunks:8 (fun _ -> ());
-            let a = Task_pool.stats pool in
-            Alcotest.(check bool) "a job ran" true (a.Task_pool.jobs > b.Task_pool.jobs);
-            let claimed =
-              a.Task_pool.caller_chunks + a.Task_pool.worker_chunks
-              - (b.Task_pool.caller_chunks + b.Task_pool.worker_chunks)
-            in
-            Alcotest.(check int) "all chunks claimed exactly once" 8 claimed));
-    Alcotest.test_case "parallel vs sequential dispatches are counted" `Quick (fun () ->
-        let db, _ = Lazy.force engine_fixture in
-        let p0, s0 = Parallel.ops_counts () in
-        (match Executor.run_sql db "SELECT COUNT(*) FROM trips WHERE fare > 0" with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "query failed: %s" e);
-        let p1, s1 = Parallel.ops_counts () in
-        Alcotest.(check bool) "some dispatch was counted" true (p1 + s1 > p0 + s0);
-        Alcotest.(check bool) "counters never decrease" true (p1 >= p0 && s1 >= s0));
   ]
 
 (* --- service -------------------------------------------------------------------- *)
@@ -976,18 +968,24 @@ let statement_tests =
 let flight_tests =
   [
     Alcotest.test_case "ring wraps and snapshots newest-first" `Quick (fun () ->
-        let fl = Flight.create ~capacity:8 () in
-        for i = 0 to 19 do
-          Flight.record fl ~ts_ns:(float_of_int i) ~analyst:"a"
-            ~sql:(Printf.sprintf "q%d" i) ~outcome:"granted"
-            ~duration_ns:(float_of_int i) ()
-        done;
-        Alcotest.(check int) "all writes counted" 20 (Flight.recorded fl);
-        let snap = Flight.snapshot fl in
-        Alcotest.(check int) "bounded by capacity" 8 (List.length snap);
-        let seqs = List.map (fun r -> r.Flight.seq) snap in
-        Alcotest.(check (list int)) "newest first, most recent retained"
-          [ 19; 18; 17; 16; 15; 14; 13; 12 ] seqs);
+        List.iter
+          (fun capacity ->
+            let fl = Flight.create ~capacity () in
+            for i = 0 to 19 do
+              Flight.record fl ~ts_ns:(float_of_int i) ~analyst:"a"
+                ~sql:(Printf.sprintf "q%d" i) ~outcome:"granted"
+                ~duration_ns:(float_of_int i) ()
+            done;
+            let label = Printf.sprintf "capacity %d: %s" capacity in
+            Alcotest.(check int) (label "all writes counted") 20 (Flight.recorded fl);
+            let snap = Flight.snapshot fl in
+            Alcotest.(check int) (label "bounded by capacity") capacity (List.length snap);
+            let seqs = List.map (fun r -> r.Flight.seq) snap in
+            Alcotest.(check (list int))
+              (label "newest first, most recent retained")
+              (List.init capacity (fun i -> 19 - i))
+              seqs)
+          [ 8; 1; 5 ]);
     Alcotest.test_case "limit truncates the snapshot" `Quick (fun () ->
         let fl = Flight.create ~capacity:16 () in
         for i = 0 to 9 do
@@ -1042,6 +1040,60 @@ let flight_tests =
         match Json.of_string (Flight.to_json fl) with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "to_json does not parse: %s" e);
+    Alcotest.test_case "capacity is validated; an empty recorder snapshots nothing" `Quick
+      (fun () ->
+        (match Flight.create ~capacity:0 () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "capacity:0 accepted");
+        let fl = Flight.create () in
+        Alcotest.(check int) "default capacity" 256 (Flight.capacity fl);
+        Alcotest.(check int) "nothing recorded" 0 (Flight.recorded fl);
+        Alcotest.(check int) "empty snapshot" 0 (List.length (Flight.snapshot fl));
+        Flight.record fl ~ts_ns:1.0 ~analyst:"a" ~sql:"q" ~outcome:"granted" ~duration_ns:1.0 ();
+        Alcotest.(check int) "limit past retained" 1
+          (List.length (Flight.snapshot ~limit:10 fl));
+        Alcotest.(check int) "limit 0" 0 (List.length (Flight.snapshot ~limit:0 fl)));
+    Alcotest.test_case "snapshots taken during writes are consecutive newest-first runs"
+      `Quick (fun () ->
+        let capacity = 16 in
+        let fl = Flight.create ~capacity () in
+        let writers = 4 and per = 500 in
+        let done_writing = Atomic.make false in
+        let torn = ref 0 and taken = ref 0 in
+        let rec consecutive = function
+          | a :: (b :: _ as rest) -> a.Flight.seq = b.Flight.seq + 1 && consecutive rest
+          | _ -> true
+        in
+        let reader () =
+          while not (Atomic.get done_writing) do
+            let snap = Flight.snapshot fl in
+            incr taken;
+            if List.length snap > capacity || not (consecutive snap) then incr torn;
+            Thread.yield ()
+          done
+        in
+        let r = Thread.create reader () in
+        let ts =
+          List.init writers (fun _ ->
+              Thread.create
+                (fun () ->
+                  for i = 1 to per do
+                    Flight.record fl ~ts_ns:(float_of_int i) ~analyst:"a" ~sql:"q"
+                      ~outcome:"granted" ~duration_ns:1.0 ();
+                    if i mod 50 = 0 then Thread.yield ()
+                  done)
+                ())
+        in
+        List.iter Thread.join ts;
+        Atomic.set done_writing true;
+        Thread.join r;
+        Alcotest.(check bool) "the reader ran" true (!taken > 0);
+        Alcotest.(check int) "no torn snapshot" 0 !torn;
+        match Flight.snapshot fl with
+        | newest :: _ as snap ->
+          Alcotest.(check int) "newest is the last write" ((writers * per) - 1) newest.Flight.seq;
+          Alcotest.(check bool) "final snapshot consecutive" true (consecutive snap)
+        | [] -> Alcotest.fail "empty final snapshot");
   ]
 
 (* --- budget observatory + statement stats through the service -------------------- *)
@@ -1247,7 +1299,6 @@ let suites =
     ("obs-clock-span", clock_span_tests);
     ("obs-audit", audit_tests);
     ("obs-explain-analyze", explain_analyze_tests);
-    ("obs-pool-counters", pool_counter_tests);
     ("obs-statements", statement_tests);
     ("obs-flight", flight_tests);
     ("obs-observatory", observatory_tests);

@@ -70,6 +70,66 @@ let workers_tests =
         assert (Workers.try_submit pool (fun () -> Atomic.set after true));
         Workers.shutdown pool;
         Alcotest.(check bool) "the pool survived the raise" true (Atomic.get after));
+    Alcotest.test_case "sizes are validated and reported" `Quick (fun () ->
+        (match Workers.create ~workers:0 ~capacity:4 () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "workers:0 accepted");
+        (match Workers.create ~workers:1 ~capacity:0 () with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "capacity:0 accepted");
+        let pool = Workers.create ~workers:3 ~capacity:5 () in
+        Alcotest.(check int) "workers" 3 (Workers.workers pool);
+        Alcotest.(check int) "capacity" 5 (Workers.capacity pool);
+        Alcotest.(check int) "idle pool has nothing inflight" 0 (Workers.inflight pool);
+        Workers.shutdown pool);
+    Alcotest.test_case "one worker runs jobs in submission order" `Quick (fun () ->
+        let pool = Workers.create ~workers:1 ~capacity:64 () in
+        let order = ref [] in
+        for i = 1 to 40 do
+          assert (Workers.try_submit pool (fun () -> order := i :: !order))
+        done;
+        Workers.shutdown pool;
+        Alcotest.(check (list int)) "FIFO" (List.init 40 (fun i -> i + 1)) (List.rev !order));
+    Alcotest.test_case "submitters on several threads each get every job run once" `Quick
+      (fun () ->
+        let submitters = 4 and per = 25 in
+        let pool = Workers.create ~workers:2 ~capacity:(submitters * per) () in
+        let hits = Array.init (submitters * per) (fun _ -> Atomic.make 0) in
+        let refused = Atomic.make 0 in
+        let submit s =
+          for i = 0 to per - 1 do
+            let slot = hits.((s * per) + i) in
+            if not (Workers.try_submit pool (fun () -> Atomic.incr slot)) then
+              Atomic.incr refused
+          done
+        in
+        let ts = List.init submitters (fun s -> Thread.create submit s) in
+        List.iter Thread.join ts;
+        Workers.shutdown pool;
+        Alcotest.(check int) "nothing refused below capacity" 0 (Atomic.get refused);
+        Array.iteri
+          (fun i a -> Alcotest.(check int) (Fmt.str "job %d ran once" i) 1 (Atomic.get a))
+          hits;
+        let s = Workers.stats pool in
+        Alcotest.(check int) "submitted" (submitters * per) s.submitted;
+        Alcotest.(check int) "completed" (submitters * per) s.completed);
+    Alcotest.test_case "shutdown is idempotent and later submits are counted refusals"
+      `Quick (fun () ->
+        let pool = Workers.create ~workers:2 ~capacity:8 () in
+        let ran = Atomic.make 0 in
+        for _ = 1 to 6 do
+          assert (Workers.try_submit pool (fun () -> Atomic.incr ran))
+        done;
+        Workers.shutdown pool;
+        Workers.shutdown pool;
+        Alcotest.(check int) "queued jobs drained" 6 (Atomic.get ran);
+        Alcotest.(check bool) "refused once" false (Workers.try_submit pool (fun () -> ()));
+        Alcotest.(check bool) "refused twice" false (Workers.try_submit pool (fun () -> ()));
+        let s = Workers.stats pool in
+        Alcotest.(check int) "submitted" 6 s.submitted;
+        Alcotest.(check int) "completed" 6 s.completed;
+        Alcotest.(check int) "rejected" 2 s.rejected;
+        Alcotest.(check int) "nothing inflight" 0 (Workers.inflight pool));
   ]
 
 (* --- rate limiting ------------------------------------------------------------- *)
